@@ -16,8 +16,8 @@ import (
 // from one store regardless of who built the components.
 //
 // sm, when non-nil, also exposes the simulation core's scheduler gauges
-// (event-queue depth, event-pool occupancy, armed timer-wheel timers) so
-// profiling runs can watch scheduler pressure alongside the model metrics.
+// (event-queue depth and event-pool occupancy) so profiling runs can watch
+// scheduler pressure alongside the model metrics.
 func RegisterComponents(r *metrics.Registry, sm *sim.Sim, clients []*client.Client, servers []*server.Server, net *netsim.Network, inj *faults.Injector) {
 	if sm != nil {
 		r.Int(metrics.Desc{Name: "spritefs_sim_events_pending", Unit: "events",
@@ -25,13 +25,9 @@ func RegisterComponents(r *metrics.Registry, sm *sim.Sim, clients []*client.Clie
 			Kind: metrics.Gauge},
 			nil, func() int64 { return int64(sm.Pending()) })
 		r.Int(metrics.Desc{Name: "spritefs_sim_event_pool_free", Unit: "events",
-			Help: "Recycled one-shot event arena slots awaiting reuse; the steady-state allocation-free scheduler draws from this pool.",
+			Help: "Recycled event arena slots awaiting reuse; one-shot events and tickers share the arena, and the steady-state allocation-free scheduler draws from this pool.",
 			Kind: metrics.Gauge},
 			nil, func() int64 { return int64(sm.EventPoolFree()) })
-		r.Int(metrics.Desc{Name: "spritefs_sim_wheel_timers", Unit: "timers",
-			Help: "Recurring timers armed on the hierarchical timer wheel (periodic daemons created via Every).",
-			Kind: metrics.Gauge},
-			nil, func() int64 { return int64(sm.WheelTimers()) })
 	}
 	if net != nil {
 		net.RegisterMetrics(r)

@@ -89,10 +89,10 @@ func TestAllLinksZeroLatency(t *testing.T) {
 	}
 }
 
-// TestSubTickLinkLatency prices links far below the timer wheel's ~4.2ms
-// bucket resolution: event delivery must stay exact (the wheel only
-// batches recurring daemons), so lookahead windows much smaller than a
-// tick cannot reorder or lose messages.
+// TestSubTickLinkLatency prices links far below the daemons' millisecond
+// periods (50µs per hop): the scheduler keys every event by its exact
+// (time, seq) with no time bucketing, so lookahead windows this small
+// cannot reorder or lose messages.
 func TestSubTickLinkLatency(t *testing.T) {
 	cfg := chattyConfig(23, 3)
 	cfg.Router.Latency = 50 * time.Microsecond

@@ -6,9 +6,9 @@ import (
 )
 
 // The scheduler's hot paths are required to be allocation-free in steady
-// state: once the event arena, heap slice and wheel arena have grown to
-// their high-water marks, At/After/Step and ticker firings must not touch
-// the garbage collector. `make allocscheck` runs these gates.
+// state: once the event arena and heap slice have grown to their
+// high-water marks, At/After/Step and ticker firings must not touch the
+// garbage collector. `make allocscheck` runs these gates.
 
 func TestAfterZeroAllocSteadyState(t *testing.T) {
 	s := New(1)
@@ -39,8 +39,8 @@ func TestEveryTickZeroAllocSteadyState(t *testing.T) {
 }
 
 // TestTickerStopRecyclesEvent pins the Ticker.Stop contract: stopping a
-// ticker unlinks its pending wheel entry immediately — no tombstone is
-// left in any queue — and the arena slot is recycled, so repeated
+// ticker removes its pending heap entry immediately — no tombstone is
+// left in the queue — and the shared arena slot is recycled, so repeated
 // start/stop cycles neither grow Pending nor leak pool slots.
 func TestTickerStopRecyclesEvent(t *testing.T) {
 	s := New(1)
@@ -56,14 +56,14 @@ func TestTickerStopRecyclesEvent(t *testing.T) {
 		}
 		tk.Stop() // double-stop must be a no-op
 	}
-	if got := len(s.wheel.pool); got != 1 {
-		t.Fatalf("wheel arena grew to %d slots over 1000 start/stop cycles, want 1 (slot not recycled)", got)
+	if got := len(s.q.pool); got != 1 {
+		t.Fatalf("event arena grew to %d slots over 1000 start/stop cycles, want 1 (slot not recycled)", got)
 	}
-	if got := s.wheel.freeLen(); got != 1 {
-		t.Fatalf("wheel free list has %d slots, want 1", got)
+	if got := s.q.freeLen(); got != 1 {
+		t.Fatalf("event free list has %d slots, want 1", got)
 	}
-	if got := s.WheelTimers(); got != 0 {
-		t.Fatalf("WheelTimers = %d after all tickers stopped, want 0", got)
+	if got := s.Pending(); got != base {
+		t.Fatalf("Pending = %d after all tickers stopped, want %d", got, base)
 	}
 }
 
@@ -83,11 +83,11 @@ func TestTickerStopFromOtherEvent(t *testing.T) {
 	}
 }
 
-// TestWheelOverflowAndRefile mixes wheel timers across levels with a
-// one-shot event and checks the merged firing order stays exact; the
-// "far" ticker's re-arm lands beyond the wheel horizon, exercising the
-// overflow list in the minimum scan.
-func TestWheelOverflowAndRefile(t *testing.T) {
+// TestTickerFarRearmOrder mixes tickers of very different periods with a
+// one-shot event and checks the firing order stays exact; the "far"
+// ticker re-arms more than eleven years ahead, so its entry sinks deep in
+// the heap while the hourly ticker keeps cycling past it.
+func TestTickerFarRearmOrder(t *testing.T) {
 	s := New(1)
 	var order []string
 	s.Every(3*time.Hour, 100000*time.Hour, func() { order = append(order, "far") })
@@ -105,17 +105,17 @@ func TestWheelOverflowAndRefile(t *testing.T) {
 	}
 }
 
-// TestWheelOverflowFire arms a ticker whose first firing is beyond the
-// wheel's ~9-year horizon, so it is parked on the overflow list, and
-// checks it still fires at its exact time and re-files into the wheel.
-func TestWheelOverflowFire(t *testing.T) {
+// TestTickerFarFirstFire arms a ticker whose first firing is eleven years
+// ahead and checks it still fires at its exact time and re-arms exactly
+// one period later.
+func TestTickerFarFirstFire(t *testing.T) {
 	s := New(1)
 	far := 11 * 365 * 24 * time.Hour
 	fired := 0
 	tk := s.Every(far, 24*time.Hour, func() { fired++ })
 	s.RunUntil(far)
 	if fired != 1 {
-		t.Fatalf("overflow ticker fired %d times by %v, want 1", fired, far)
+		t.Fatalf("far ticker fired %d times by %v, want 1", fired, far)
 	}
 	if at, ok := s.NextAt(); !ok || at != far+24*time.Hour {
 		t.Fatalf("re-arm at %v (ok=%v), want %v", at, ok, far+24*time.Hour)

@@ -49,8 +49,9 @@ func BenchmarkHeapChurn(b *testing.B) {
 }
 
 // BenchmarkSimCore exercises the scheduler's three steady-state shapes:
-// a deep one-shot heap, a population of recurring timers on the wheel,
-// and the two mixed. All three must run allocation-free.
+// a deep one-shot heap, a population of recurring timers, and the two
+// mixed (tickers sharing the heap with a one-deep one-shot chain). All
+// three must run allocation-free.
 func BenchmarkSimCore(b *testing.B) {
 	b.Run("oneshot", func(b *testing.B) {
 		s := New(1)

@@ -1,34 +1,55 @@
 package sim
 
-// One-shot event storage and ordering: a free-list arena of event values
-// plus an inlined, monomorphic 4-ary index min-heap over arena slots.
+// Event storage and ordering: a free-list arena of event values plus an
+// inlined, monomorphic 4-ary min-heap. One-shot events (At/After) and
+// recurring timers (Every) share both structures.
 //
-// The previous implementation used container/heap over a []*event, which
-// heap-allocated one boxed event per Schedule call and paid an interface
-// dispatch per comparison. Here events live by value in a reusable arena
-// (`pool`); the heap orders int32 slot indices, so pushes and pops move
-// 4-byte indices instead of 40-byte structs, sift compares are direct
-// field loads, and steady-state At/After performs zero allocations once
-// the arena and heap slices have grown to the high-water mark.
+// Each heap entry carries its (at, seq) ordering key inline next to the
+// arena slot it refers to, so sifts compare and move contiguous heap
+// memory without touching the arena. A 4-ary layout halves tree depth
+// versus binary: sift-down does more comparisons per level but far fewer
+// cache-missing level hops, which is the right trade for the simulator's
+// deep (10k+ event) queues. Steady-state scheduling performs zero
+// allocations once the arena and heap slices have grown to the high-water
+// mark.
 //
-// A 4-ary layout halves tree depth versus binary: sift-down does more
-// comparisons per level but far fewer cache-missing level hops, which is
-// the right trade for the simulator's deep (10k+ event) queues.
+// The queue tracks every slot's heap position, so Ticker.Stop removes an
+// armed timer from the middle of the heap in O(log n) and no tombstone is
+// ever left behind.
+//
+// While an event's callback runs, the root of the heap is a hole (the
+// fired entry was taken but not yet replaced). The first push during the
+// callback fills the hole and sifts down; a ticker re-armed after its
+// callback does the same. Either way a firing that schedules its
+// successor costs one sift instead of a pop plus a push. settle closes a
+// hole that nothing filled.
 
-// event is one scheduled callback. Events are ordered by (at, seq):
-// virtual time first, then FIFO among events scheduled for the same time.
+// event is one scheduled callback. Its ordering key lives in the heap.
 type event struct {
-	at   Time
-	seq  uint64 // tie-break: FIFO among same-time events
-	fn   func()
-	next int32 // free-list link while the slot is unused
+	fn     func()
+	tk     *Ticker // owning ticker of a recurring timer, nil for one-shots
+	period Time    // re-arm interval of a recurring timer
 }
 
-// eventQueue is the one-shot event scheduler state.
+// entry is one heap element. Entries are ordered by (at, seq): virtual
+// time first, then FIFO among events scheduled for the same time.
+type entry struct {
+	at  Time
+	seq uint64
+	idx int32 // arena slot
+}
+
+func (a *entry) less(b *entry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// eventQueue is the scheduler state.
 type eventQueue struct {
 	pool []event
+	pos  []int32 // per slot: heap position while queued, next free slot while free
 	free int32   // head of the free-slot list, -1 when empty
-	heap []int32 // 4-ary min-heap of pool indices
+	heap []entry // 4-ary min-heap; heap[0] is a hole while hole is set
+	hole bool
 }
 
 func newEventQueue() eventQueue {
@@ -36,27 +57,24 @@ func newEventQueue() eventQueue {
 }
 
 // alloc takes a slot from the free list (or grows the arena) and fills it.
-func (q *eventQueue) alloc(at Time, seq uint64, fn func()) int32 {
+func (q *eventQueue) alloc(fn func(), tk *Ticker, period Time) int32 {
 	i := q.free
 	if i >= 0 {
-		q.free = q.pool[i].next
+		q.free = q.pos[i]
 	} else {
 		q.pool = append(q.pool, event{})
+		q.pos = append(q.pos, 0)
 		i = int32(len(q.pool) - 1)
 	}
-	e := &q.pool[i]
-	e.at = at
-	e.seq = seq
-	e.fn = fn
+	q.pool[i] = event{fn: fn, tk: tk, period: period}
 	return i
 }
 
-// release returns a slot to the free list. The callback reference is
-// cleared so the arena does not pin dead closures.
+// release returns a slot to the free list. The callback and ticker
+// references are cleared so the arena does not pin dead closures.
 func (q *eventQueue) release(i int32) {
-	e := &q.pool[i]
-	e.fn = nil
-	e.next = q.free
+	q.pool[i] = event{}
+	q.pos[i] = q.free
 	q.free = i
 }
 
@@ -64,69 +82,98 @@ func (q *eventQueue) release(i int32) {
 // spritefs_sim_event_pool_free gauge reads it).
 func (q *eventQueue) freeLen() int {
 	n := 0
-	for i := q.free; i >= 0; i = q.pool[i].next {
+	for i := q.free; i >= 0; i = q.pos[i] {
 		n++
 	}
 	return n
 }
 
-func (q *eventQueue) len() int { return len(q.heap) }
-
-// min returns the earliest pending event's ordering key without
-// disturbing the heap.
-func (q *eventQueue) min() (at Time, seq uint64, ok bool) {
-	if len(q.heap) == 0 {
-		return 0, 0, false
+// len counts queued entries, excluding a hole.
+func (q *eventQueue) len() int {
+	if q.hole {
+		return len(q.heap) - 1
 	}
-	e := &q.pool[q.heap[0]]
-	return e.at, e.seq, true
+	return len(q.heap)
 }
 
-// less orders two arena slots by (at, seq).
-func (q *eventQueue) less(a, b int32) bool {
-	ea, eb := &q.pool[a], &q.pool[b]
-	if ea.at != eb.at {
-		return ea.at < eb.at
-	}
-	return ea.seq < eb.seq
+// take returns the minimum entry and leaves a hole in its place. The
+// queue must be settled and non-empty.
+func (q *eventQueue) take() entry {
+	q.hole = true
+	return q.heap[0]
 }
 
-// push inserts slot i into the heap.
-func (q *eventQueue) push(i int32) {
-	q.heap = append(q.heap, i)
-	// Sift up.
-	c := len(q.heap) - 1
+// push queues e, filling the hole if there is one.
+func (q *eventQueue) push(e entry) {
+	if q.hole {
+		q.hole = false
+		q.heap[0] = e
+		q.siftDown(0)
+		return
+	}
+	q.heap = append(q.heap, e)
+	q.siftUp(len(q.heap) - 1)
+}
+
+// settle closes an unfilled hole by moving the last entry into it.
+func (q *eventQueue) settle() {
+	if !q.hole {
+		return
+	}
+	q.hole = false
+	q.cut(0)
+}
+
+// remove takes slot i's entry out of the heap.
+func (q *eventQueue) remove(i int32) {
+	q.settle()
+	q.cut(int(q.pos[i]))
+}
+
+// cut deletes the entry at heap position p, refilling it from the end.
+func (q *eventQueue) cut(p int) {
+	last := len(q.heap) - 1
+	e := q.heap[last]
+	q.heap = q.heap[:last]
+	if p == last {
+		return
+	}
+	q.heap[p] = e
+	if p > 0 && e.less(&q.heap[(p-1)>>2]) {
+		q.siftUp(p)
+	} else {
+		q.siftDown(p)
+	}
+}
+
+// siftUp moves the entry at position c toward the root until its parent
+// is smaller, recording every moved entry's new position.
+func (q *eventQueue) siftUp(c int) {
+	h := q.heap
+	e := h[c]
 	for c > 0 {
 		p := (c - 1) >> 2
-		if !q.less(q.heap[c], q.heap[p]) {
+		if !e.less(&h[p]) {
 			break
 		}
-		q.heap[c], q.heap[p] = q.heap[p], q.heap[c]
+		h[c] = h[p]
+		q.pos[h[c].idx] = int32(c)
 		c = p
 	}
+	h[c] = e
+	q.pos[e.idx] = int32(c)
 }
 
-// popMin removes and returns the minimum slot.
-func (q *eventQueue) popMin() int32 {
-	h := q.heap
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	q.heap = h[:last]
-	if last > 1 {
-		q.siftDown(0)
-	}
-	return top
-}
-
-// siftDown restores heap order below position p.
+// siftDown moves the entry at position p toward the leaves until no child
+// is smaller, recording every moved entry's new position.
 func (q *eventQueue) siftDown(p int) {
 	h := q.heap
 	n := len(h)
+	e := h[p]
 	for {
 		first := p<<2 + 1
 		if first >= n {
-			return
+			break
 		}
 		// Find the smallest of up to four children.
 		m := first
@@ -135,14 +182,17 @@ func (q *eventQueue) siftDown(p int) {
 			end = n
 		}
 		for c := first + 1; c < end; c++ {
-			if q.less(h[c], h[m]) {
+			if h[c].less(&h[m]) {
 				m = c
 			}
 		}
-		if !q.less(h[m], h[p]) {
-			return
+		if !h[m].less(&e) {
+			break
 		}
-		h[p], h[m] = h[m], h[p]
+		h[p] = h[m]
+		q.pos[h[p].idx] = int32(p)
 		p = m
 	}
+	h[p] = e
+	q.pos[e.idx] = int32(p)
 }

@@ -5,13 +5,12 @@
 // reproducible — the property that lets the experiment harness regenerate
 // the paper's tables bit-for-bit across machines.
 //
-// The scheduler is allocation-free in steady state: one-shot events live in
-// a free-list arena ordered by an inlined 4-ary index min-heap (heap.go),
-// and recurring timers created by Every live in a hierarchical timer wheel
-// (wheel.go). Both structures key events by (time, seq), where seq is a
-// single counter shared across them, so the merged firing order — and
-// therefore every report byte — is identical to the original single-heap
-// implementation.
+// The scheduler is allocation-free in steady state: one-shot events and
+// the recurring timers created by Every live in one free-list arena
+// ordered by an inlined 4-ary min-heap (heap.go). Events are keyed by
+// (time, seq), where seq is a single counter that a ticker consumes anew
+// each time it re-arms, so the firing order — and therefore every report
+// byte — is exactly that of a plain priority queue of closures.
 package sim
 
 import (
@@ -26,16 +25,15 @@ type Time = time.Duration
 // each simulated cluster owns one Sim and runs single-threaded (parallel
 // experiments run independent Sims).
 type Sim struct {
-	now   Time
-	seq   uint64
-	pq    eventQueue // one-shot events (At/After)
-	wheel wheel      // recurring timers (Every)
-	rng   *Rand
+	now Time
+	seq uint64
+	q   eventQueue
+	rng *Rand
 }
 
 // New returns a simulator whose random source is seeded with seed.
 func New(seed int64) *Sim {
-	return &Sim{pq: newEventQueue(), wheel: newWheel(), rng: NewRand(seed)}
+	return &Sim{q: newEventQueue(), rng: NewRand(seed)}
 }
 
 // Now returns the current virtual time.
@@ -51,7 +49,7 @@ func (s *Sim) At(t Time, fn func()) {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, s.now))
 	}
 	s.seq++
-	s.pq.push(s.pq.alloc(t, s.seq, fn))
+	s.q.push(entry{at: t, seq: s.seq, idx: s.q.alloc(fn, nil, 0)})
 }
 
 // After schedules fn to run d after the current time. Negative d is
@@ -66,21 +64,21 @@ func (s *Sim) After(d Time, fn func()) {
 // Ticker is a cancellable periodic event created by Every.
 type Ticker struct {
 	s       *Sim
-	idx     int32 // armed wheel entry, -1 while firing or after Stop
+	idx     int32 // armed arena slot, -1 while firing or after Stop
 	stopped bool
 }
 
-// Stop cancels future firings of the ticker. The pending wheel entry is
-// unlinked and recycled immediately — no tombstone stays behind in any
-// queue, so stopped tickers leave Pending unchanged.
+// Stop cancels future firings of the ticker. The pending entry is removed
+// from the queue and its slot recycled immediately — no tombstone stays
+// behind, so stopped tickers leave Pending unchanged.
 func (t *Ticker) Stop() {
 	if t.stopped {
 		return
 	}
 	t.stopped = true
 	if t.idx >= 0 {
-		t.s.wheel.unlink(t.idx)
-		t.s.wheel.release(t.idx)
+		t.s.q.remove(t.idx)
+		t.s.q.release(t.idx)
 		t.idx = -1
 	}
 }
@@ -98,51 +96,44 @@ func (s *Sim) Every(start, period Time, fn func()) *Ticker {
 	}
 	s.seq++
 	tk := &Ticker{s: s}
-	tk.idx = s.wheel.alloc(start, s.seq, period, fn, tk)
-	s.wheel.insert(s.now, tk.idx)
+	tk.idx = s.q.alloc(fn, tk, period)
+	s.q.push(entry{at: start, seq: s.seq, idx: tk.idx})
 	return tk
 }
 
 // Step runs the single earliest pending event, advancing the clock to its
 // time. It reports whether an event was run.
 func (s *Sim) Step() bool {
-	at1, seq1, ok1 := s.pq.min()
-	at2, seq2, widx, ok2 := s.wheel.min(s.now)
-	switch {
-	case !ok1 && !ok2:
+	q := &s.q
+	q.settle() // a hole survives only if a callback re-entered Step or panicked
+	if len(q.heap) == 0 {
 		return false
-	case ok1 && (!ok2 || at1 < at2 || (at1 == at2 && seq1 < seq2)):
-		// One-shot event fires. Copy the fields out and release the
-		// arena slot before running fn: the callback may schedule new
-		// events, growing or reusing the arena.
-		i := s.pq.popMin()
-		e := &s.pq.pool[i]
-		at, fn := e.at, e.fn
-		s.pq.release(i)
-		s.now = at
+	}
+	top := q.take()
+	s.now = top.at
+	e := &q.pool[top.idx]
+	fn, tk := e.fn, e.tk
+	if tk == nil {
+		// One-shot event. Release the slot before running fn: the
+		// callback may schedule new events, growing or reusing the arena.
+		q.release(top.idx)
 		fn()
-	default:
-		// Recurring timer fires. Unlink it, run the callback with the
-		// ticker disarmed (so Stop from inside fn is a plain flag set),
-		// then re-arm one period later — consuming the next seq *after*
-		// fn has run, exactly as the old self-rescheduling closure did.
-		s.wheel.unlink(widx)
-		e := &s.wheel.pool[widx]
-		fn, tk, period := e.fn, e.tk, e.period
+	} else {
+		// Recurring timer. Run the callback with the ticker disarmed (so
+		// Stop from inside fn is a plain flag set), then re-arm one period
+		// later — consuming the next seq *after* fn has run, exactly as a
+		// self-rescheduling closure would.
 		tk.idx = -1
-		s.now = at2
 		fn()
 		if tk.stopped {
-			s.wheel.release(widx)
+			q.release(top.idx)
 		} else {
 			s.seq++
-			e = &s.wheel.pool[widx] // fn may have grown the arena
-			e.at = at2 + period
-			e.seq = s.seq
-			s.wheel.insert(s.now, widx)
-			tk.idx = widx
+			tk.idx = top.idx
+			q.push(entry{at: top.at + q.pool[top.idx].period, seq: s.seq, idx: top.idx})
 		}
 	}
+	q.settle()
 	return true
 }
 
@@ -169,28 +160,19 @@ func (s *Sim) RunUntil(t Time) {
 
 // Pending returns the number of events still scheduled, counting each armed
 // ticker as one event.
-func (s *Sim) Pending() int { return s.pq.len() + s.wheel.count }
+func (s *Sim) Pending() int { return s.q.len() }
 
 // NextAt returns the time of the earliest pending event. ok is false when
 // no events are scheduled. The conservative parallel executor uses this to
 // pick each epoch's start without disturbing the scheduler.
 func (s *Sim) NextAt() (t Time, ok bool) {
-	at1, seq1, ok1 := s.pq.min()
-	at2, seq2, _, ok2 := s.wheel.min(s.now)
-	switch {
-	case !ok1 && !ok2:
+	s.q.settle() // no-op except when called from inside a callback
+	if len(s.q.heap) == 0 {
 		return 0, false
-	case ok1 && (!ok2 || at1 < at2 || (at1 == at2 && seq1 < seq2)):
-		return at1, true
-	default:
-		return at2, true
 	}
+	return s.q.heap[0].at, true
 }
 
-// EventPoolFree returns the number of recycled one-shot event slots waiting
+// EventPoolFree returns the number of recycled event arena slots waiting
 // for reuse (the spritefs_sim_event_pool_free gauge).
-func (s *Sim) EventPoolFree() int { return s.pq.freeLen() }
-
-// WheelTimers returns the number of armed recurring timers in the wheel
-// (the spritefs_sim_wheel_timers gauge).
-func (s *Sim) WheelTimers() int { return s.wheel.count }
+func (s *Sim) EventPoolFree() int { return s.q.freeLen() }
