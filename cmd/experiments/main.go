@@ -9,7 +9,6 @@
 //	experiments -exp all -hours 24 -days 14        # full-scale, slow
 //	experiments -exp scale -clients 1000 -shards 1,2,4,8 -hours 0.25
 //	experiments -exp wanscale -clients 10000 -segments 8 -sites 1,2,4,8
-//	experiments -exp wanscale -clients 1000000 -segments 200 -sites 20 -lean -hours 0.02
 package main
 
 import (
@@ -47,7 +46,6 @@ var flagScope = map[string][]string{
 	"workers":        {"scale", "wanscale"},
 	"sites":          {"wanscale"},
 	"segments":       {"wanscale"},
-	"lean":           {"wanscale"},
 }
 
 var validExps = []string{"all", "section4", "section5", "faults", "timeseries", "scale", "wanscale", "workloads"}
@@ -112,7 +110,6 @@ func main() {
 		workers = flag.Int("workers", 0, "for -exp scale/wanscale: parallel executor goroutines (0 = GOMAXPROCS)")
 		sites   = flag.String("sites", "1,2,4,8", "comma-separated site counts for -exp wanscale")
 		segs    = flag.Int("segments", 8, "total segment count for -exp wanscale (each site count must divide it)")
-		lean    = flag.Bool("lean", false, "for -exp wanscale: skip per-client metric instances (needed for million-client runs)")
 		cpuProf = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProf = flag.String("memprofile", "", "write a pprof heap profile (taken after the run) to this file")
 	)
@@ -257,7 +254,7 @@ func main() {
 			wanClients, *segs, *sites)
 		r, err := core.RunWANScaleStudy(core.WANScaleOptions{
 			Clients: *clients, Segments: *segs, Sites: counts, Hours: wanHours,
-			Seed: *seed, Sequential: *seqExec, Workers: *workers, Lean: *lean,
+			Seed: *seed, Sequential: *seqExec, Workers: *workers,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)

@@ -72,13 +72,10 @@ type Config struct {
 	// MetricsMatch restricts sampling to metric families for which it
 	// returns true; nil samples every non-summary family.
 	MetricsMatch func(name string) bool
-	// LeanMetrics skips the per-client metric families in this cluster's
-	// registry: servers, the network, the simulator and the injector
-	// still register, but the client stacks do not. The scale-out
-	// topology sets this for very large communities, where per-client
-	// instances would dominate memory; Report tables that project client
-	// families read as zero in a lean run.
-	LeanMetrics bool
+	// Reg is the registry every component registers into; nil gives the
+	// cluster a fresh one. The scale-out engine passes a shard-scoped view
+	// of its topology-wide registry, so each component registers once.
+	Reg *metrics.Registry
 }
 
 // DefaultConfig returns the paper's cluster: 4 servers, 40 clients.
@@ -197,12 +194,11 @@ func New(cfg Config) *Cluster {
 	if !cfg.Faults.Empty() {
 		c.Injector = faults.Attach(c, cfg.Faults)
 	}
-	c.Reg = metrics.New()
-	regClients := c.Clients
-	if cfg.LeanMetrics {
-		regClients = nil
+	c.Reg = cfg.Reg
+	if c.Reg == nil {
+		c.Reg = metrics.New()
 	}
-	RegisterComponents(c.Reg, c.Sim, regClients, c.Servers, c.Net, c.Injector)
+	RegisterComponents(c.Reg, c.Sim, c.Clients, c.Servers, c.Net, c.Injector)
 	c.Engine = workload.NewEngine(c.Sim, p, c.Registry, hosts)
 	c.Engine.RegisterMetrics(c.Reg)
 	c.Engine.OnMigrate = func(user, pid, from, to int32) {

@@ -8,24 +8,23 @@ import "spritefs/internal/metrics"
 // unlike the live subsystems this registers a finished result, letting the
 // overhead comparison ride the same export formats as everything else.
 func (o *Overhead) RegisterMetrics(r *metrics.Registry) {
-	r.Int(metrics.Desc{Name: "spritefs_consistency_app_bytes_total", Unit: "bytes",
+	r.IntVar(metrics.Desc{Name: "spritefs_consistency_app_bytes_total", Unit: "bytes",
 		Help: "Bytes applications requested on write-shared files during sharing (Table 12 normalization base).",
 		Kind: metrics.Counter},
-		nil, func() int64 { return o.AppBytes })
-	r.Int(metrics.Desc{Name: "spritefs_consistency_app_ops_total", Unit: "ops",
+		nil, &o.AppBytes)
+	r.IntVar(metrics.Desc{Name: "spritefs_consistency_app_ops_total", Unit: "ops",
 		Help: "Application read/write events during sharing.",
 		Kind: metrics.Counter},
-		nil, func() int64 { return o.AppOps })
+		nil, &o.AppOps)
 	for a := 0; a < NumAlgs; a++ {
-		a := a
 		ls := metrics.Labels{metrics.L("alg", AlgNames[a])}
-		r.Int(metrics.Desc{Name: "spritefs_consistency_bytes_total", Unit: "bytes",
+		r.IntVar(metrics.Desc{Name: "spritefs_consistency_bytes_total", Unit: "bytes",
 			Help: "Bytes each consistency algorithm transferred for the same shared accesses (Table 12 second column, unnormalized).",
 			Kind: metrics.Counter},
-			ls, func() int64 { return o.Bytes[a] })
-		r.Int(metrics.Desc{Name: "spritefs_consistency_rpcs_total", Unit: "ops",
+			ls, &o.Bytes[a])
+		r.IntVar(metrics.Desc{Name: "spritefs_consistency_rpcs_total", Unit: "ops",
 			Help: "RPCs each consistency algorithm issued (Table 12 third column, unnormalized).",
 			Kind: metrics.Counter},
-			ls, func() int64 { return o.RPCs[a] })
+			ls, &o.RPCs[a])
 	}
 }

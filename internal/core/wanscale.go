@@ -33,11 +33,6 @@ type WANScaleOptions struct {
 	Sequential bool
 	// Workers bounds the parallel executor (0 = GOMAXPROCS).
 	Workers int
-	// Lean enables scale.Config.LeanMetrics: per-client metric families
-	// are skipped, which is what makes million-client configurations fit
-	// in memory. Reports are unaffected (cache ratios come from the
-	// client caches directly).
-	Lean bool
 }
 
 // WANScaleRow is one site count's measurement.
@@ -91,11 +86,10 @@ func RunWANScaleStudy(opts WANScaleOptions) (*WANScaleResult, error) {
 			return nil, fmt.Errorf("sites=%d does not divide %d segments", sites, segments)
 		}
 		eng, err := scale.New(scale.Config{
-			Base:        base,
-			Factor:      factor,
-			Shards:      segments,
-			Sites:       sites,
-			LeanMetrics: opts.Lean,
+			Base:   base,
+			Factor: factor,
+			Shards: segments,
+			Sites:  sites,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("sites=%d: %w", sites, err)

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"strconv"
 	"testing"
 
 	"spritefs/internal/stats"
@@ -19,7 +20,7 @@ func TestLabeledCounterIncrementZeroAlloc(t *testing.T) {
 	for i := range counters {
 		ls := Labels{L("client", string(rune('a'+i)))}
 		r.IntVar(d, ls, &counters[i])
-		r.HistVar(Desc{Name: "test_age", Help: "h"}, ls, &ages[i])
+		r.HistSecondsVar(Desc{Name: "test_age", Help: "h"}, ls, &ages[i])
 	}
 	sel := L("client", "a")
 
@@ -37,5 +38,27 @@ func TestLabeledCounterIncrementZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("increment+SumInt allocated %.1f/op, want 0", allocs)
+	}
+}
+
+// TestRegistrationAllocs pins the compact store: an instance is one slot
+// in its family's column plus, for a new label set, one trie node, so
+// registering allocates only when a column or the trie grows.
+func TestRegistrationAllocs(t *testing.T) {
+	const n = 10000
+	d := Desc{Name: "test_ops_total", Unit: "ops", Help: "h", Kind: Counter}
+	vals := make([]int64, n)
+	sets := make([]Labels, n)
+	for i := range sets {
+		sets[i] = Labels{L("client", strconv.Itoa(i))}
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		r := New()
+		for i := range vals {
+			r.IntVar(d, sets[i], &vals[i])
+		}
+	})
+	if per := allocs / n; per >= 0.05 {
+		t.Fatalf("registration allocated %.3f objects per instance (%.0f for %d), want < 0.05", per, allocs, n)
 	}
 }

@@ -12,10 +12,14 @@
 // Prometheus/TSV/JSONL dumps, the generated docs/METRICS.md — is a
 // projection of this one store.
 //
-// Registered metrics are closures over the owning subsystem's counter
-// fields, read only at snapshot time, so registration adds no bookkeeping
-// to the hot paths and the registry can never disagree with the
-// authoritative counters. Snapshots and exports are deterministic: metric
+// A registered metric is a pointer to the owning subsystem's counter
+// field (the Var forms) or, for values that must be computed, a closure;
+// either is read only at snapshot time, so registration adds no
+// bookkeeping to the hot paths and the registry can never disagree with
+// the authoritative counters. Each family stores its instances as a
+// dense column of value sources and label-set references, and label
+// strings are rendered only at export, so per-client metrics stay cheap
+// at any scale. Snapshots and exports are deterministic: metric
 // instances are emitted sorted by (name, labels), integers stay exact, and
 // floats render with strconv's shortest round-trip form, so identical
 // seeds produce byte-identical dumps regardless of registration order or

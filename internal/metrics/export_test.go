@@ -71,8 +71,8 @@ func TestPrometheusHelpTypeOrdering(t *testing.T) {
 		r.Int(Desc{Name: "aaa_total", Unit: "ops", Help: "a counter", Kind: Counter},
 			Labels{L("client", c)}, func() int64 { return 7 })
 	}
-	r.Seconds(Desc{Name: "ccc_seconds", Help: "a duration", Kind: Gauge}, nil,
-		func() time.Duration { return time.Second })
+	sec := time.Second
+	r.SecondsVar(Desc{Name: "ccc_seconds", Help: "a duration", Kind: Gauge}, nil, &sec)
 
 	lines := strings.Split(strings.TrimRight(promDump(t, r), "\n"), "\n")
 	helpSeen := map[string]bool{}
@@ -221,8 +221,8 @@ func TestPrometheusGrammar(t *testing.T) {
 	r.Int(Desc{Name: "g_things", Unit: "things", Help: "gauge", Kind: Gauge}, nil, func() int64 { return -3 })
 	r.Int(Desc{Name: "c_ops_total", Unit: "ops", Help: "counter", Kind: Counter},
 		Labels{L("verb", "open"), L("path", `C:\tmp "x"`+"\n")}, func() int64 { return 42 })
-	r.Seconds(Desc{Name: "d_seconds", Help: "duration", Kind: Gauge}, nil,
-		func() time.Duration { return 1500 * time.Millisecond })
+	d := 1500 * time.Millisecond
+	r.SecondsVar(Desc{Name: "d_seconds", Help: "duration", Kind: Gauge}, nil, &d)
 	var w stats.Welford
 	w.Add(1e6)
 	w.Add(3e6)

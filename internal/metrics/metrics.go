@@ -57,25 +57,11 @@ func (ls Labels) String() string {
 	if len(ls) == 0 {
 		return ""
 	}
-	return string(appendLabelSet(nil, nil, ls))
-}
-
-// appendLabelSet renders the concatenation of two label sets into buf —
-// the same bytes Labels.String produces for the combined set, without
-// allocating. Registration renders scope+instance labels through this
-// into the store's scratch buffer and interns the result.
-func appendLabelSet(buf []byte, scope, ls Labels) []byte {
-	if len(scope)+len(ls) == 0 {
-		return buf
-	}
-	buf = append(buf, '{')
-	for i, l := range scope {
+	buf := []byte{'{'}
+	for i, l := range ls {
 		buf = appendLabel(buf, l, i > 0)
 	}
-	for i, l := range ls {
-		buf = appendLabel(buf, l, len(scope)+i > 0)
-	}
-	return append(buf, '}')
+	return string(append(buf, '}'))
 }
 
 func appendLabel(buf []byte, l Label, comma bool) []byte {
@@ -122,75 +108,43 @@ type Desc struct {
 	Kind Kind
 }
 
-// metric is one registered instance: a family member with a concrete
-// label set and a read-at-snapshot-time view over the owner's counter.
-// The value source is either a direct pointer into the owner's counter
-// (the Var registrations — the hot path stays a plain field increment and
-// the registry costs nothing per event) or a closure (for values that
-// must be computed at snapshot time).
-type metric struct {
-	labels Labels
-	key    string // rendered labels, the within-family identity
-
-	// Exactly one of the six is set, fixing the instance's value type.
-	intPtr *int64
-	durPtr *time.Duration
-	sumPtr *stats.Welford
-	intFn  func() int64
-	durFn  func() time.Duration
-	sumFn  func() stats.Welford
-	// scale multiplies summary sample values at export (e.g. 1e-9 for
-	// Welford accumulators that collected nanoseconds but export seconds).
-	scale float64
-}
-
-func (m *metric) isInt() bool { return m.intPtr != nil || m.intFn != nil }
-func (m *metric) isDur() bool { return m.durPtr != nil || m.durFn != nil }
-
-func (m *metric) intVal() int64 {
-	if m.intPtr != nil {
-		return *m.intPtr
-	}
-	return m.intFn()
-}
-
-func (m *metric) durVal() time.Duration {
-	if m.durPtr != nil {
-		return *m.durPtr
-	}
-	return m.durFn()
-}
-
-func (m *metric) sumVal() stats.Welford {
-	if m.sumPtr != nil {
-		return *m.sumPtr
-	}
-	return m.sumFn()
-}
-
-// Family is one named metric with all its registered instances.
+// Family is one named metric with all its registered instances, held as a
+// dense column: instance i reads its value from src[i] and carries the
+// label set refs[i]. There is no per-instance heap object, and label
+// strings are rendered only at export.
 type Family struct {
-	Desc      Desc
-	instances []*metric
-	// byKey indexes instances by their rendered label set. Registration
-	// must stay O(1) per instance: the scale-out topology registers one
-	// instance per client per family, so a linear duplicate scan would
-	// make constructing a million-client registry quadratic (hours of
-	// wall-clock before the first event runs).
-	byKey map[string]*metric
+	Desc Desc
+	// src holds each instance's value source: *int64, *time.Duration or
+	// *stats.Welford for the Var registrations (the hot path stays a
+	// plain field increment and the registry costs nothing per event), or
+	// a func returning one of those types for values computed at snapshot
+	// time. Pointers and funcs are pointer-shaped, so storing them in an
+	// interface allocates nothing.
+	src []any
+	// refs holds each instance's label set as a node of the store's
+	// label trie.
+	refs []int32
+	// seen indexes refs for the duplicate check once registrations stop
+	// arriving in increasing label-set order. Until then the last ref is
+	// the largest, and a larger one cannot be a duplicate: components
+	// register their own fresh label sets, so the common case keeps no
+	// per-instance index at all.
+	seen map[int32]struct{}
+	s    *store
 }
 
 // Instances returns the number of registered instances.
-func (f *Family) Instances() int { return len(f.instances) }
+func (f *Family) Instances() int { return len(f.refs) }
 
 // LabelKeys returns the label key sets in use by the family's instances,
 // deduplicated and sorted (normally a single entry, e.g. "client,scope").
 func (f *Family) LabelKeys() []string {
 	seen := map[string]bool{}
 	var out []string
-	for _, m := range f.instances {
-		keys := make([]string, len(m.labels))
-		for i, l := range m.labels {
+	for _, ref := range f.refs {
+		ls := f.s.labels(ref)
+		keys := make([]string, len(ls))
+		for i, l := range ls {
 			keys[i] = l.Key
 		}
 		k := strings.Join(keys, ",")
@@ -208,55 +162,125 @@ func (f *Family) LabelKeys() []string {
 // each own a private registry (which is what keeps dumps worker-count
 // invariant). A Registry is a view onto a shared family store plus a
 // label scope; Scoped derives views that stamp extra labels onto every
-// registration, which is how the scale-out engine gives each shard's
-// component stack a shard="N" label without the components knowing.
+// registration and read only their own scope, which is how the scale-out
+// engine gives each shard's component stack a shard="N" label without the
+// components knowing.
 type Registry struct {
 	s     *store
 	scope Labels
+	ref   int32 // the scope's label set
 }
 
-// labelSet is one interned rendered label set shared by every instance
-// registered with the same effective (scope + instance) labels. A
-// thousand families with a client="7" instance share one key string and
-// one canonical Labels slice instead of re-rendering a thousand copies.
-type labelSet struct {
-	key    string
-	labels Labels
+// labelNode is one node of the store's label trie: the label set made of
+// the parent node's labels followed by one more label. Node 0 is the
+// empty set. Each distinct label sequence is stored once however many
+// families share it (a client's client="7" set carries some sixty).
+type labelNode struct {
+	parent int32
+	label  Label
 }
 
 // store is the family set shared by a registry and all its scoped views.
 type store struct {
 	fams   []*Family
 	byName map[string]*Family
-	// keys interns rendered label sets by their rendered form. Label keys
-	// are trusted identifiers (they are not escaped in the rendered form),
-	// so the rendered bytes identify the set.
-	keys map[string]*labelSet
-	// slab batches metric allocations: registration is the dominant
-	// allocation site when a scale-out topology builds thousands of
-	// per-client component stacks, and one bump-pointer chunk replaces
-	// hundreds of individual heap objects.
-	slab    []metric
-	scratch []byte
+	nodes  []labelNode
+	// child interns trie edges: (parent, label) to the child node.
+	child map[labelNode]int32
+	// last remembers the previous intern call: its base node, a copy of
+	// its labels and the node reached after each of them. A component
+	// registers dozens of families under one label set, so most calls
+	// resolve from here without hashing a label.
+	lastBase int32
+	lastLs   Labels
+	lastRefs []int32
 }
 
 // New returns an empty registry.
 func New() *Registry {
 	return &Registry{s: &store{
 		byName: make(map[string]*Family),
-		keys:   make(map[string]*labelSet),
+		nodes:  make([]labelNode, 1),
+		child:  make(map[labelNode]int32),
 	}}
 }
 
 // Scoped returns a view of the same registry that prepends the given
-// labels to every instance registered through it. Families are shared:
-// a family registered through any view appears once, with instances from
-// every scope. Scopes nest (scoping a scoped view concatenates labels).
+// labels to every instance registered through it, and whose reads (Len,
+// the Sum/Max projections, Snapshot and the exports) see only instances
+// carrying those labels. Families are shared: a family registered through
+// any view appears once, with instances from every scope, and the root
+// view reads them all. Scopes nest (scoping a scoped view concatenates
+// labels).
 func (r *Registry) Scoped(ls ...Label) *Registry {
 	scope := make(Labels, 0, len(r.scope)+len(ls))
 	scope = append(scope, r.scope...)
 	scope = append(scope, ls...)
-	return &Registry{s: r.s, scope: scope}
+	return &Registry{s: r.s, scope: scope, ref: r.s.intern(r.ref, ls)}
+}
+
+// intern returns the node for base's label set followed by ls, adding the
+// missing nodes.
+func (s *store) intern(base int32, ls Labels) int32 {
+	k := 0 // labels shared with the previous call
+	if base == s.lastBase {
+		for k < len(ls) && k < len(s.lastLs) && ls[k] == s.lastLs[k] {
+			k++
+		}
+	}
+	s.lastBase = base
+	s.lastLs = append(s.lastLs[:k], ls[k:]...)
+	s.lastRefs = s.lastRefs[:k]
+	ref := base
+	if k > 0 {
+		ref = s.lastRefs[k-1]
+	}
+	for _, l := range ls[k:] {
+		edge := labelNode{parent: ref, label: l}
+		next, ok := s.child[edge]
+		if !ok {
+			next = int32(len(s.nodes))
+			s.nodes = append(s.nodes, edge)
+			s.child[edge] = next
+		}
+		ref = next
+		s.lastRefs = append(s.lastRefs, ref)
+	}
+	return ref
+}
+
+// labels returns ref's label set in registration order.
+func (s *store) labels(ref int32) Labels {
+	n := 0
+	for r := ref; r != 0; r = s.nodes[r].parent {
+		n++
+	}
+	ls := make(Labels, n)
+	for r := ref; r != 0; r = s.nodes[r].parent {
+		n--
+		ls[n] = s.nodes[r].label
+	}
+	return ls
+}
+
+// matches reports whether ref's label set carries every selector pair.
+func (s *store) matches(ref int32, sel []Label) bool {
+	for _, want := range sel {
+		r := ref
+		for r != 0 && s.nodes[r].label != want {
+			r = s.nodes[r].parent
+		}
+		if r == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// selects reports whether an instance with label set ref is in the view's
+// scope and carries every selector pair.
+func (r *Registry) selects(ref int32, sel []Label) bool {
+	return r.s.matches(ref, r.scope) && r.s.matches(ref, sel)
 }
 
 // family fetches or creates the named family, enforcing that every
@@ -273,58 +297,39 @@ func (r *Registry) family(d Desc) *Family {
 		}
 		return f
 	}
-	f := &Family{Desc: d}
+	f := &Family{Desc: d, s: r.s}
 	r.s.fams = append(r.s.fams, f)
 	r.s.byName[d.Name] = f
 	return f
 }
 
-func (s *store) intern(scope, ls Labels) *labelSet {
-	s.scratch = appendLabelSet(s.scratch[:0], scope, ls)
-	if set, ok := s.keys[string(s.scratch)]; ok {
-		return set
-	}
-	merged := make(Labels, 0, len(scope)+len(ls))
-	merged = append(merged, scope...)
-	merged = append(merged, ls...)
-	set := &labelSet{key: string(s.scratch), labels: merged}
-	s.keys[set.key] = set
-	return set
-}
-
-func (s *store) newMetric() *metric {
-	if len(s.slab) == 0 {
-		s.slab = make([]metric, 512)
-	}
-	m := &s.slab[0]
-	s.slab = s.slab[1:]
-	return m
-}
-
-func (r *Registry) add(d Desc, ls Labels) *metric {
+func (r *Registry) add(d Desc, ls Labels, src any) {
 	f := r.family(d)
-	set := r.s.intern(r.scope, ls)
-	m := r.s.newMetric()
-	m.labels = set.labels
-	m.key = set.key
-	if f.byKey == nil {
-		f.byKey = make(map[string]*metric)
+	ref := r.s.intern(r.ref, ls)
+	if n := len(f.refs); f.seen != nil || (n > 0 && ref <= f.refs[n-1]) {
+		if f.seen == nil {
+			f.seen = make(map[int32]struct{}, n+1)
+			for _, x := range f.refs {
+				f.seen[x] = struct{}{}
+			}
+		}
+		if _, dup := f.seen[ref]; dup {
+			panic(fmt.Sprintf("metrics: duplicate instance %s%s", d.Name, r.s.labels(ref)))
+		}
+		f.seen[ref] = struct{}{}
 	}
-	if f.byKey[m.key] != nil {
-		panic(fmt.Sprintf("metrics: duplicate instance %s%s", d.Name, m.key))
-	}
-	f.byKey[m.key] = m
-	f.instances = append(f.instances, m)
-	return m
+	f.src = append(f.src, src)
+	f.refs = append(f.refs, ref)
 }
 
 // Int registers an integer-valued instance (counter or gauge) whose value
-// is read from fn at snapshot time.
+// is computed by fn at snapshot time. Use IntVar when the value is a
+// field.
 func (r *Registry) Int(d Desc, ls Labels, fn func() int64) {
 	if d.Kind == Summary {
 		panic("metrics: Int registration with Summary kind")
 	}
-	r.add(d, ls).intFn = fn
+	r.add(d, ls, fn)
 }
 
 // IntVar registers an integer-valued instance read directly from *v at
@@ -334,24 +339,13 @@ func (r *Registry) IntVar(d Desc, ls Labels, v *int64) {
 	if d.Kind == Summary {
 		panic("metrics: IntVar registration with Summary kind")
 	}
-	r.add(d, ls).intPtr = v
-}
-
-// Seconds registers a duration-valued instance exported in seconds. The
-// raw nanosecond integer is preserved internally, so sums and maxima over
-// instances stay exact.
-func (r *Registry) Seconds(d Desc, ls Labels, fn func() time.Duration) {
-	if d.Kind == Summary {
-		panic("metrics: Seconds registration with Summary kind")
-	}
-	if d.Unit == "" {
-		d.Unit = "seconds"
-	}
-	r.add(d, ls).durFn = fn
+	r.add(d, ls, v)
 }
 
 // SecondsVar registers a duration-valued instance read directly from *v
-// at snapshot time (see IntVar).
+// at snapshot time and exported in seconds (see IntVar). The raw
+// nanosecond integer is preserved internally, so sums and maxima over
+// instances stay exact.
 func (r *Registry) SecondsVar(d Desc, ls Labels, v *time.Duration) {
 	if d.Kind == Summary {
 		panic("metrics: SecondsVar registration with Summary kind")
@@ -359,54 +353,63 @@ func (r *Registry) SecondsVar(d Desc, ls Labels, v *time.Duration) {
 	if d.Unit == "" {
 		d.Unit = "seconds"
 	}
-	r.add(d, ls).durPtr = v
+	r.add(d, ls, v)
 }
 
-// Hist registers a distribution instance backed by a stats.Welford
-// accumulator; exports expand it into _count/_sum/_mean/_stddev/_min/_max.
-func (r *Registry) Hist(d Desc, ls Labels, fn func() stats.Welford) {
-	d.Kind = Summary
-	m := r.add(d, ls)
-	m.sumFn = fn
-	m.scale = 1
-}
-
-// HistVar registers a distribution instance read directly from *w at
-// snapshot time (see IntVar).
-func (r *Registry) HistVar(d Desc, ls Labels, w *stats.Welford) {
-	d.Kind = Summary
-	m := r.add(d, ls)
-	m.sumPtr = w
-	m.scale = 1
-}
-
-// HistSeconds registers a distribution whose Welford accumulator collected
-// nanosecond samples (the simulators store time.Duration as float64);
-// exported values are scaled to seconds.
+// HistSeconds registers a distribution instance whose stats.Welford
+// accumulator collected nanosecond samples (the simulators store
+// time.Duration as float64), computed by fn at snapshot time. Exports
+// expand it into _count/_sum/_mean/_stddev/_min/_max, scaled to seconds.
 func (r *Registry) HistSeconds(d Desc, ls Labels, fn func() stats.Welford) {
-	d.Kind = Summary
-	if d.Unit == "" {
-		d.Unit = "seconds"
-	}
-	m := r.add(d, ls)
-	m.sumFn = fn
-	m.scale = 1e-9
+	r.add(histDesc(d), ls, fn)
 }
 
 // HistSecondsVar registers a nanosecond-sample distribution read directly
 // from *w at snapshot time (see HistSeconds and IntVar).
 func (r *Registry) HistSecondsVar(d Desc, ls Labels, w *stats.Welford) {
+	r.add(histDesc(d), ls, w)
+}
+
+func histDesc(d Desc) Desc {
 	d.Kind = Summary
 	if d.Unit == "" {
 		d.Unit = "seconds"
 	}
-	m := r.add(d, ls)
-	m.sumPtr = w
-	m.scale = 1e-9
+	return d
 }
 
-// Families returns every family sorted by name (the documentation and
-// export order).
+// intValue reads an integer instance; ok is false for other value types.
+func intValue(src any) (v int64, ok bool) {
+	switch p := src.(type) {
+	case *int64:
+		return *p, true
+	case func() int64:
+		return p(), true
+	}
+	return 0, false
+}
+
+// durValue reads a duration instance; ok is false for other value types.
+func durValue(src any) (v time.Duration, ok bool) {
+	switch p := src.(type) {
+	case *time.Duration:
+		return *p, true
+	case func() time.Duration:
+		return p(), true
+	}
+	return 0, false
+}
+
+// sumValue reads a distribution instance.
+func sumValue(src any) stats.Welford {
+	if p, ok := src.(*stats.Welford); ok {
+		return *p
+	}
+	return src.(func() stats.Welford)()
+}
+
+// Families returns every family of the shared store sorted by name (the
+// documentation and export order). A scoped view returns the same set.
 func (r *Registry) Families() []*Family {
 	out := make([]*Family, len(r.s.fams))
 	copy(out, r.s.fams)
@@ -414,30 +417,18 @@ func (r *Registry) Families() []*Family {
 	return out
 }
 
-// Len returns the number of registered instances across all families.
+// Len returns the number of registered instances in the view's scope
+// across all families.
 func (r *Registry) Len() int {
 	n := 0
 	for _, f := range r.s.fams {
-		n += len(f.instances)
-	}
-	return n
-}
-
-// matches reports whether the instance carries every selector pair.
-func (m *metric) matches(sel []Label) bool {
-	for _, s := range sel {
-		found := false
-		for _, l := range m.labels {
-			if l.Key == s.Key && l.Value == s.Value {
-				found = true
-				break
+		for _, ref := range f.refs {
+			if r.s.matches(ref, r.scope) {
+				n++
 			}
 		}
-		if !found {
-			return false
-		}
 	}
-	return true
+	return n
 }
 
 // SumInt sums the named family's integer instances matching every selector
@@ -452,11 +443,13 @@ func (r *Registry) SumInt(name string, sel ...Label) int64 {
 		return 0
 	}
 	var sum int64
-	for _, m := range f.instances {
-		if !m.isInt() || !m.matches(sel) {
+	for i, ref := range f.refs {
+		if !r.selects(ref, sel) {
 			continue
 		}
-		sum += m.intVal()
+		if v, ok := intValue(f.src[i]); ok {
+			sum += v
+		}
 	}
 	return sum
 }
@@ -468,11 +461,13 @@ func (r *Registry) SumSeconds(name string, sel ...Label) time.Duration {
 		return 0
 	}
 	var sum time.Duration
-	for _, m := range f.instances {
-		if !m.isDur() || !m.matches(sel) {
+	for i, ref := range f.refs {
+		if !r.selects(ref, sel) {
 			continue
 		}
-		sum += m.durVal()
+		if v, ok := durValue(f.src[i]); ok {
+			sum += v
+		}
 	}
 	return sum
 }
@@ -485,11 +480,11 @@ func (r *Registry) MaxSeconds(name string, sel ...Label) time.Duration {
 		return 0
 	}
 	var max time.Duration
-	for _, m := range f.instances {
-		if !m.isDur() || !m.matches(sel) {
+	for i, ref := range f.refs {
+		if !r.selects(ref, sel) {
 			continue
 		}
-		if v := m.durVal(); v > max {
+		if v, ok := durValue(f.src[i]); ok && v > max {
 			max = v
 		}
 	}
@@ -518,50 +513,58 @@ func (p Point) Value() string {
 	return formatFloat(p.Float)
 }
 
-// Snapshot reads every instance now and returns the flat point list,
-// sorted by (name, labels) — summaries expanded, durations in seconds.
+// Snapshot reads every instance in the view's scope now and returns the
+// flat point list, sorted by (name, labels) — summaries expanded,
+// durations in seconds.
 func (r *Registry) Snapshot() []Point {
+	type inst struct {
+		labels string
+		src    any
+	}
 	var out []Point
+	var insts []inst
 	for _, f := range r.Families() {
-		insts := make([]*metric, len(f.instances))
-		copy(insts, f.instances)
-		slices.SortFunc(insts, func(a, b *metric) int { return cmp.Compare(a.key, b.key) })
-		for _, m := range insts {
-			out = append(out, m.points(f.Desc)...)
+		insts = insts[:0]
+		for i, ref := range f.refs {
+			if r.s.matches(ref, r.scope) {
+				insts = append(insts, inst{r.s.labels(ref).String(), f.src[i]})
+			}
+		}
+		slices.SortFunc(insts, func(a, b inst) int { return cmp.Compare(a.labels, b.labels) })
+		for _, in := range insts {
+			out = appendPoints(out, f.Desc, in.labels, in.src)
 		}
 	}
 	return out
 }
 
-// points expands one instance into its exported points.
-func (m *metric) points(d Desc) []Point {
-	base := Point{Name: d.Name, Labels: m.key, Unit: d.Unit, Kind: d.Kind}
-	switch {
-	case m.isInt():
+// appendPoints expands one instance into its exported points.
+func appendPoints(out []Point, d Desc, labels string, src any) []Point {
+	base := Point{Name: d.Name, Labels: labels, Unit: d.Unit, Kind: d.Kind}
+	if v, ok := intValue(src); ok {
 		base.IsInt = true
-		base.Int = m.intVal()
-		return []Point{base}
-	case m.isDur():
-		base.Float = m.durVal().Seconds()
-		return []Point{base}
-	default:
-		w := m.sumVal()
-		mk := func(suffix, unit string, isInt bool, iv int64, fv float64) Point {
-			return Point{Name: d.Name + suffix, Labels: m.key, Unit: unit, Kind: d.Kind,
-				IsInt: isInt, Int: iv, Float: fv}
-		}
-		s := m.scale
-		pts := []Point{
-			mk("_count", "samples", true, w.N(), 0),
-			mk("_sum", d.Unit, false, 0, w.Sum()*s),
-			mk("_mean", d.Unit, false, 0, w.Mean()*s),
-			mk("_stddev", d.Unit, false, 0, w.Stddev()*s),
-		}
-		if w.N() > 0 {
-			pts = append(pts,
-				mk("_min", d.Unit, false, 0, w.Min()*s),
-				mk("_max", d.Unit, false, 0, w.Max()*s))
-		}
-		return pts
+		base.Int = v
+		return append(out, base)
 	}
+	if v, ok := durValue(src); ok {
+		base.Float = v.Seconds()
+		return append(out, base)
+	}
+	w := sumValue(src)
+	mk := func(suffix, unit string, isInt bool, iv int64, fv float64) Point {
+		return Point{Name: d.Name + suffix, Labels: labels, Unit: unit, Kind: d.Kind,
+			IsInt: isInt, Int: iv, Float: fv}
+	}
+	const s = 1e-9 // nanosecond samples export in seconds
+	out = append(out,
+		mk("_count", "samples", true, w.N(), 0),
+		mk("_sum", d.Unit, false, 0, w.Sum()*s),
+		mk("_mean", d.Unit, false, 0, w.Mean()*s),
+		mk("_stddev", d.Unit, false, 0, w.Stddev()*s))
+	if w.N() > 0 {
+		out = append(out,
+			mk("_min", d.Unit, false, 0, w.Min()*s),
+			mk("_max", d.Unit, false, 0, w.Max()*s))
+	}
+	return out
 }

@@ -14,8 +14,8 @@ func testRegistry() (*Registry, *int64, *int64) {
 	d := Desc{Name: "spritefs_test_ops_total", Unit: "ops", Help: "test ops", Kind: Counter}
 	r.Int(d, Labels{L("client", "0")}, func() int64 { return *a })
 	r.Int(d, Labels{L("client", "1")}, func() int64 { return *b })
-	r.Seconds(Desc{Name: "spritefs_test_busy_seconds", Help: "busy", Kind: Gauge},
-		nil, func() time.Duration { return 1500 * time.Millisecond })
+	busy := 1500 * time.Millisecond
+	r.SecondsVar(Desc{Name: "spritefs_test_busy_seconds", Help: "busy", Kind: Gauge}, nil, &busy)
 	return r, a, b
 }
 
@@ -135,8 +135,9 @@ func TestSummaryExpansion(t *testing.T) {
 func TestMaxSeconds(t *testing.T) {
 	r := New()
 	d := Desc{Name: "worst_seconds", Help: "worst", Kind: Gauge}
-	r.Seconds(d, Labels{L("i", "0")}, func() time.Duration { return 2 * time.Second })
-	r.Seconds(d, Labels{L("i", "1")}, func() time.Duration { return 5 * time.Second })
+	a, b := 2*time.Second, 5*time.Second
+	r.SecondsVar(d, Labels{L("i", "0")}, &a)
+	r.SecondsVar(d, Labels{L("i", "1")}, &b)
 	if got := r.MaxSeconds("worst_seconds"); got != 5*time.Second {
 		t.Fatalf("MaxSeconds = %v", got)
 	}
@@ -171,4 +172,58 @@ func TestScopedRegistry(t *testing.T) {
 		}
 	}()
 	r.Scoped(L("shard", "0")).Int(d, Labels{L("client", "1")}, func() int64 { return 0 })
+}
+
+// TestScopedViewReadsOwnScope pins the read side of a scoped view: its
+// projections, snapshot and sampler see only the instances carrying its
+// scope labels, while the root sees every scope.
+func TestScopedViewReadsOwnScope(t *testing.T) {
+	r := New()
+	d := Desc{Name: "x_total", Unit: "ops", Help: "x.", Kind: Counter}
+	var a, b, c, g int64 = 3, 5, 7, 11
+	s0, s1 := r.Scoped(L("shard", "0")), r.Scoped(L("shard", "1"))
+	s0.IntVar(d, Labels{L("client", "1")}, &a)
+	s0.IntVar(d, Labels{L("client", "2")}, &b)
+	s1.IntVar(d, Labels{L("client", "1")}, &c)
+	r.IntVar(Desc{Name: "y", Unit: "x", Help: "y.", Kind: Gauge}, nil, &g)
+
+	for _, tc := range []struct {
+		name     string
+		reg      *Registry
+		sum, len int64
+		points   int
+	}{
+		{`shard="0"`, s0, 8, 2, 2},
+		{`shard="1"`, s1, 7, 1, 1},
+		{"root", r, 15, 4, 4},
+	} {
+		if got := tc.reg.SumInt("x_total"); got != tc.sum {
+			t.Errorf("%s: SumInt = %d, want %d", tc.name, got, tc.sum)
+		}
+		if got := tc.reg.Len(); int64(got) != tc.len {
+			t.Errorf("%s: Len = %d, want %d", tc.name, got, tc.len)
+		}
+		pts := tc.reg.Snapshot()
+		if len(pts) != tc.points {
+			t.Errorf("%s: Snapshot has %d points, want %d: %+v", tc.name, len(pts), tc.points, pts)
+		}
+		smp := NewSampler(tc.reg, 0, nil)
+		smp.Sample(time.Second)
+		if got := len(smp.All()); got != tc.points {
+			t.Errorf("%s: sampler has %d series, want %d", tc.name, got, tc.points)
+		}
+		if tc.reg != r {
+			for _, p := range pts {
+				if !strings.Contains(p.Labels, tc.name) {
+					t.Errorf("%s: Snapshot point %s%s is outside the scope", tc.name, p.Name, p.Labels)
+				}
+			}
+		}
+	}
+	if got := s0.SumInt("x_total", L("client", "1")); got != 3 {
+		t.Errorf("shard=0 SumInt{client=1} = %d, want 3", got)
+	}
+	if got := s0.Scoped(L("client", "2")).SumInt("x_total"); got != 5 {
+		t.Errorf("nested scope SumInt = %d, want 5", got)
+	}
 }

@@ -26,8 +26,12 @@ type Sampler struct {
 	// non-summary instances).
 	match func(name string) bool
 
-	cols   []seriesCol
-	colIdx map[string]int
+	cols []seriesCol
+	// fams maps the store's families, by creation index, to the columns
+	// of their instances. Families and instances are append-only, so a
+	// (family, slot) pair names one column for the sampler's lifetime,
+	// and each column's labels render once, when it first appears.
+	fams []famCols
 
 	capPoints int
 	rows      []row
@@ -41,7 +45,11 @@ type seriesCol struct {
 	unit   string
 }
 
-func (c seriesCol) id() string { return c.name + c.labels }
+// famCols is one family's slot-to-column map.
+type famCols struct {
+	sampled bool    // false for summaries and families match rejects
+	cols    []int32 // per instance slot; -1 when outside the view's scope
+}
 
 type row struct {
 	t time.Duration
@@ -50,12 +58,13 @@ type row struct {
 
 // NewSampler returns a sampler over reg holding at most capPoints rows
 // (the ring buffer bound; <= 0 selects the 4096-row default). match, when
-// non-nil, restricts sampling to metric families it accepts.
+// non-nil, restricts sampling to metric families it accepts. A scoped reg
+// samples only its own scope.
 func NewSampler(reg *Registry, capPoints int, match func(name string) bool) *Sampler {
 	if capPoints <= 0 {
 		capPoints = 4096
 	}
-	return &Sampler{reg: reg, match: match, capPoints: capPoints, colIdx: make(map[string]int)}
+	return &Sampler{reg: reg, match: match, capPoints: capPoints}
 }
 
 // Sample reads every selected metric now and appends one row stamped with
@@ -63,30 +72,36 @@ func NewSampler(reg *Registry, capPoints int, match func(name string) bool) *Sam
 // clients lazily) extend the column set; earlier rows read as NaN in the
 // missing columns.
 func (s *Sampler) Sample(now time.Duration) {
-	vals := make([]float64, len(s.cols))
-	for i := range vals {
-		vals[i] = nan()
+	st := s.reg.s
+	for _, f := range st.fams[len(s.fams):] {
+		s.fams = append(s.fams, famCols{
+			sampled: f.Desc.Kind != Summary && (s.match == nil || s.match(f.Desc.Name)),
+		})
 	}
-	for _, f := range s.reg.s.fams {
-		if f.Desc.Kind == Summary {
+	for fi, f := range st.fams {
+		fc := &s.fams[fi]
+		if !fc.sampled {
 			continue
 		}
-		if s.match != nil && !s.match(f.Desc.Name) {
-			continue
-		}
-		for _, m := range f.instances {
-			col := seriesCol{name: f.Desc.Name, labels: m.key, unit: f.Desc.Unit}
-			idx, ok := s.colIdx[col.id()]
-			if !ok {
-				idx = len(s.cols)
-				s.cols = append(s.cols, col)
-				s.colIdx[col.id()] = idx
-				vals = append(vals, nan())
+		for _, ref := range f.refs[len(fc.cols):] {
+			col := int32(-1)
+			if st.matches(ref, s.reg.scope) {
+				col = int32(len(s.cols))
+				s.cols = append(s.cols, seriesCol{name: f.Desc.Name, labels: st.labels(ref).String(), unit: f.Desc.Unit})
 			}
-			if m.isInt() {
-				vals[idx] = float64(m.intVal())
-			} else {
-				vals[idx] = m.durVal().Seconds()
+			fc.cols = append(fc.cols, col)
+		}
+	}
+	vals := make([]float64, len(s.cols))
+	for fi, f := range st.fams {
+		for i, col := range s.fams[fi].cols {
+			if col < 0 {
+				continue
+			}
+			if v, ok := intValue(f.src[i]); ok {
+				vals[col] = float64(v)
+			} else if d, ok := durValue(f.src[i]); ok {
+				vals[col] = d.Seconds()
 			}
 		}
 	}

@@ -75,8 +75,8 @@ type Engine struct {
 	// topo is the shard grid (sites × segments-per-site).
 	topo Topology
 	// Reg is the topology-wide metric registry: every shard's component
-	// stack registered under a shard="N" label, plus the router and
-	// executor families.
+	// stack registered once, through its cluster's shard="N" view, plus
+	// the router and executor families.
 	Reg *metrics.Registry
 
 	exec    ExecStats
@@ -106,7 +106,8 @@ type Engine struct {
 // then Split, so a segment's community is a pure function of the base
 // seed, its site and its index), and each segment gets a hermetic
 // cluster. The placement ring and tiered router are built, and every
-// component registers into the engine-wide metric registry.
+// component registers once into the engine-wide metric registry: each
+// shard cluster registers through its shard-scoped view of it.
 func New(cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -114,7 +115,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	topo := cfg.topology()
 	total := workload.ScaleCommunity(cfg.Base, cfg.Factor)
-	e := &Engine{Cfg: cfg, topo: topo, Router: NewRouter(cfg.Router, cfg.Tiers, topo)}
+	e := &Engine{Cfg: cfg, topo: topo, Router: NewRouter(cfg.Router, cfg.Tiers, topo), Reg: metrics.New()}
 	for i := 0; i < cfg.Shards; i++ {
 		site, seg := topo.SiteOf(i), i%topo.SegsPerSite
 		p := workload.Split(workload.SplitSite(total, topo.Sites, site), topo.SegsPerSite, seg)
@@ -123,7 +124,7 @@ func New(cfg Config) (*Engine, error) {
 		ccfg.SamplePeriod = 0
 		ccfg.NumServers = cfg.ServersPerShard
 		ccfg.Net = cfg.Segment
-		ccfg.LeanMetrics = cfg.LeanMetrics
+		ccfg.Reg = e.Reg.Scoped(metrics.L("shard", strconv.Itoa(i)))
 		if cfg.Tune != nil {
 			cfg.Tune(i, &ccfg)
 		}
@@ -139,7 +140,6 @@ func New(cfg Config) (*Engine, error) {
 		e.Shards = append(e.Shards, sh)
 	}
 	e.Placement = buildPlacement(topo, e.Shards)
-	e.Reg = metrics.New()
 	e.registerMetrics()
 	return e, nil
 }
@@ -455,107 +455,82 @@ func (e *Engine) exchange() {
 	}
 }
 
-// registerMetrics builds the engine-wide registry: per-shard component
-// stacks under shard="N", per-shard remote-traffic counters, and the
-// router/executor families. With LeanMetrics the per-client families are
-// skipped — a million clients would register tens of millions of metric
-// instances nobody scrapes at that scale — while everything aggregated
-// (servers, networks, simulators, scale families) still registers.
+// registerMetrics adds what the shard clusters did not register
+// themselves: per-shard remote-traffic counters under each shard's view,
+// and the router/executor families.
 func (e *Engine) registerMetrics() {
-	for i, sh := range e.Shards {
-		sh := sh
-		scoped := e.Reg.Scoped(metrics.L("shard", strconv.Itoa(i)))
-		clients := sh.C.Clients
-		if e.Cfg.LeanMetrics {
-			clients = nil
-		}
-		cluster.RegisterComponents(scoped, sh.C.Sim, clients, sh.C.Servers, sh.C.Net, sh.C.Injector)
-
-		rctr := func(name, unit, help string, fn func() int64) {
-			scoped.Int(metrics.Desc{Name: name, Unit: unit, Help: help, Kind: metrics.Counter}, nil, fn)
+	for _, sh := range e.Shards {
+		scoped := sh.C.Reg
+		rctr := func(name, unit, help string, v *int64) {
+			scoped.IntVar(metrics.Desc{Name: name, Unit: unit, Help: help, Kind: metrics.Counter}, nil, v)
 		}
 		rctr("spritefs_scale_remote_ops_issued_total", "ops",
-			"Cross-segment operations this shard's clients issued.",
-			func() int64 { return sh.remote.OpsIssued })
+			"Cross-segment operations this shard's clients issued.", &sh.remote.OpsIssued)
 		rctr("spritefs_scale_remote_ops_served_total", "ops",
-			"Cross-segment operations this shard's servers answered.",
-			func() int64 { return sh.remote.OpsServed })
+			"Cross-segment operations this shard's servers answered.", &sh.remote.OpsServed)
 		rctr("spritefs_scale_remote_replies_total", "ops",
-			"Remote-operation completions received back at this shard.",
-			func() int64 { return sh.remote.Replies })
+			"Remote-operation completions received back at this shard.", &sh.remote.Replies)
 		rctr("spritefs_scale_remote_read_bytes_total", "bytes",
-			"Logical bytes read from remote shards by this shard's clients.",
-			func() int64 { return sh.remote.BytesIn })
+			"Logical bytes read from remote shards by this shard's clients.", &sh.remote.BytesIn)
 		rctr("spritefs_scale_remote_write_bytes_total", "bytes",
-			"Logical bytes written to remote shards by this shard's clients.",
-			func() int64 { return sh.remote.BytesOut })
-		scoped.HistSeconds(metrics.Desc{Name: "spritefs_scale_remote_latency_seconds",
+			"Logical bytes written to remote shards by this shard's clients.", &sh.remote.BytesOut)
+		scoped.HistSecondsVar(metrics.Desc{Name: "spritefs_scale_remote_latency_seconds",
 			Help: "End-to-end remote operation latency (request issue to reply arrival)."},
-			nil, func() stats.Welford { return sh.remote.Latency })
+			nil, &sh.remote.Latency)
 		if e.topo.Sites > 1 {
 			rctr("spritefs_scale_cross_site_ops_total", "ops",
 				"Cross-site operations this shard's clients issued (requests that traverse the WAN tier).",
-				func() int64 { return sh.remote.CrossSiteOps })
-			scoped.HistSeconds(metrics.Desc{Name: "spritefs_scale_wan_latency_seconds",
+				&sh.remote.CrossSiteOps)
+			scoped.HistSecondsVar(metrics.Desc{Name: "spritefs_scale_wan_latency_seconds",
 				Help: "End-to-end latency of remote operations whose replies crossed the WAN tier."},
-				nil, func() stats.Welford { return sh.remote.WANLatency })
+				nil, &sh.remote.WANLatency)
 		}
 	}
 
-	ctr := func(name, unit, help string, fn func() int64) {
-		e.Reg.Int(metrics.Desc{Name: name, Unit: unit, Help: help, Kind: metrics.Counter}, nil, fn)
+	ctr := func(name, unit, help string, v *int64) {
+		e.Reg.IntVar(metrics.Desc{Name: name, Unit: unit, Help: help, Kind: metrics.Counter}, nil, v)
 	}
 	ctr("spritefs_scale_router_msgs_total", "msgs",
-		"Messages carried by the inter-segment router.",
-		func() int64 { return e.Router.Msgs() })
+		"Messages carried by the inter-segment router.", &e.Router.msgs)
 	ctr("spritefs_scale_router_bytes_total", "bytes",
-		"Payload bytes carried by the inter-segment router.",
-		func() int64 { return e.Router.Bytes() })
-	e.Reg.Seconds(metrics.Desc{Name: "spritefs_scale_router_busy_seconds",
+		"Payload bytes carried by the inter-segment router.", &e.Router.bytes)
+	e.Reg.SecondsVar(metrics.Desc{Name: "spritefs_scale_router_busy_seconds",
 		Help: "Cumulative backbone transmission time; against elapsed virtual time it gives backbone utilization.",
 		Kind: metrics.Counter},
-		nil, func() time.Duration { return e.Router.Busy() })
+		nil, &e.Router.busy)
 	e.Reg.Int(metrics.Desc{Name: "spritefs_scale_sites", Unit: "sites",
 		Help: "Sites in the hierarchical topology (1 = flat single-site).",
 		Kind: metrics.Gauge},
 		nil, func() int64 { return int64(e.topo.Sites) })
-	for _, tier := range []struct {
-		label string
-		wan   bool
-	}{{"site", false}, {"wan", true}} {
-		tier := tier
-		lbl := metrics.Labels{metrics.L("tier", tier.label)}
-		e.Reg.Int(metrics.Desc{Name: "spritefs_scale_tier_msgs_total", Unit: "msgs",
+	for tier, label := range []string{"site", "wan"} {
+		lbl := metrics.Labels{metrics.L("tier", label)}
+		e.Reg.IntVar(metrics.Desc{Name: "spritefs_scale_tier_msgs_total", Unit: "msgs",
 			Help: "Messages carried per topology tier (site = intra-site backbone, wan = inter-site trunk).",
 			Kind: metrics.Counter},
-			lbl, func() int64 { m, _, _ := e.Router.TierTraffic(tier.wan); return m })
-		e.Reg.Int(metrics.Desc{Name: "spritefs_scale_tier_bytes_total", Unit: "bytes",
+			lbl, &e.Router.tierMsgs[tier])
+		e.Reg.IntVar(metrics.Desc{Name: "spritefs_scale_tier_bytes_total", Unit: "bytes",
 			Help: "Payload bytes carried per topology tier.",
 			Kind: metrics.Counter},
-			lbl, func() int64 { _, b, _ := e.Router.TierTraffic(tier.wan); return b })
-		e.Reg.Seconds(metrics.Desc{Name: "spritefs_scale_tier_busy_seconds",
+			lbl, &e.Router.tierBytes[tier])
+		e.Reg.SecondsVar(metrics.Desc{Name: "spritefs_scale_tier_busy_seconds",
 			Help: "Cumulative transmission time per topology tier; against elapsed virtual time it gives tier utilization.",
 			Kind: metrics.Counter},
-			lbl, func() time.Duration { _, _, d := e.Router.TierTraffic(tier.wan); return d })
+			lbl, &e.Router.tierBusy[tier])
 	}
 	ctr("spritefs_scale_rounds_total", "rounds",
-		"Channel-clock synchronization rounds the executor ran.",
-		func() int64 { return e.exec.Rounds })
+		"Channel-clock synchronization rounds the executor ran.", &e.exec.Rounds)
 	ctr("spritefs_scale_exchange_msgs_total", "msgs",
-		"Cross-shard messages exchanged at round boundaries.",
-		func() int64 { return e.exec.Routed })
+		"Cross-shard messages exchanged at round boundaries.", &e.exec.Routed)
 	ctr("spritefs_scale_exchange_bytes_total", "bytes",
-		"Backbone payload bytes exchanged at round boundaries.",
-		func() int64 { return e.exec.RoutedBytes })
+		"Backbone payload bytes exchanged at round boundaries.", &e.exec.RoutedBytes)
 	ctr("spritefs_scale_null_advances_total", "advances",
-		"Per-link channel-clock advances that carried no payload message (null messages).",
-		func() int64 { return e.exec.NullAdvances })
+		"Per-link channel-clock advances that carried no payload message (null messages).", &e.exec.NullAdvances)
 	ctr("spritefs_scale_rescues_total", "rounds",
-		"Stall-breaker rounds serializing the earliest shard past a zero-lookahead link.",
-		func() int64 { return e.exec.Rescues })
-	ctr("spritefs_scale_msg_allocs_total", "msgs",
-		"Cross-shard message allocations that missed the per-shard free lists.",
-		func() int64 {
+		"Stall-breaker rounds serializing the earliest shard past a zero-lookahead link.", &e.exec.Rescues)
+	e.Reg.Int(metrics.Desc{Name: "spritefs_scale_msg_allocs_total", Unit: "msgs",
+		Help: "Cross-shard message allocations that missed the per-shard free lists.",
+		Kind: metrics.Counter},
+		nil, func() int64 {
 			var total int64
 			for _, sh := range e.Shards {
 				total += sh.msgAllocs
@@ -563,13 +538,12 @@ func (e *Engine) registerMetrics() {
 			return total
 		})
 	ctr("spritefs_scale_undelivered_msgs_total", "msgs",
-		"Messages still in flight when the drain window closed.",
-		func() int64 { return e.exec.Undelivered })
-	e.Reg.Seconds(metrics.Desc{Name: "spritefs_scale_min_link_lookahead_seconds",
+		"Messages still in flight when the drain window closed.", &e.exec.Undelivered)
+	e.Reg.SecondsVar(metrics.Desc{Name: "spritefs_scale_min_link_lookahead_seconds",
 		Help: "Smallest directed-link latency in the topology — the tightest lookahead the channel clocks work with.",
 		Kind: metrics.Gauge},
-		nil, func() time.Duration { return e.minLook })
-	e.Reg.HistSeconds(metrics.Desc{Name: "spritefs_scale_advance_seconds",
+		nil, &e.minLook)
+	e.Reg.HistSecondsVar(metrics.Desc{Name: "spritefs_scale_advance_seconds",
 		Help: "Virtual time a shard advanced per round it ran — how much lookahead the per-link channel clocks bought."},
-		nil, func() stats.Welford { return e.advance })
+		nil, &e.advance)
 }

@@ -3,10 +3,12 @@ package scale_test
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"spritefs/internal/cluster"
+	"spritefs/internal/metrics"
 	"spritefs/internal/scale"
 	"spritefs/internal/workload"
 )
@@ -196,4 +198,64 @@ func TestEngineRunsOnce(t *testing.T) {
 		}
 	}()
 	e.Run(scale.RunOptions{Horizon: 10 * time.Minute})
+}
+
+// TestComponentsRegisterOnce pins single registration: every shard
+// cluster registers through its shard="N" view of the engine registry,
+// so the engine registry holds exactly the shard views' instances plus
+// the engine's own families, and its projections equal the components'
+// counters.
+func TestComponentsRegisterOnce(t *testing.T) {
+	e := scale.MustNew(testConfig(7, 3))
+	e.Run(scale.RunOptions{Horizon: 20 * time.Minute})
+
+	viewLen, engineOnly := 0, 0
+	for _, sh := range e.Shards {
+		viewLen += sh.C.Reg.Len()
+	}
+	for _, f := range e.Reg.Families() {
+		keys := f.LabelKeys()
+		if len(keys) != 1 {
+			t.Fatalf("%s mixes label key sets %v", f.Desc.Name, keys)
+		}
+		if !strings.HasPrefix(keys[0], "shard") {
+			engineOnly += f.Instances()
+		}
+	}
+	if engineOnly == 0 {
+		t.Fatal("no engine-only instances; the count checks nothing")
+	}
+	if got, want := e.Reg.Len(), viewLen+engineOnly; got != want {
+		t.Errorf("engine registry has %d instances, shard views %d + engine-only %d = %d",
+			got, viewLen, engineOnly, want)
+	}
+	for _, f := range e.Reg.Families() {
+		if f.Desc.Name == "spritefs_cache_read_ops_total" && f.Instances() != 2*e.Clients() {
+			t.Errorf("%s has %d instances, want one per client per scope (%d)",
+				f.Desc.Name, f.Instances(), 2*e.Clients())
+		}
+	}
+
+	all := metrics.L("scope", "all")
+	var reads, misses int64
+	for _, sh := range e.Shards {
+		for _, cl := range sh.C.Clients {
+			st := cl.Cache.Stats()
+			reads += st.All.ReadOps
+			misses += st.All.ReadMisses
+		}
+		var programs int64
+		for _, n := range sh.C.Engine.Stats().RunsByApp {
+			programs += n
+		}
+		if got := sh.C.Reg.SumInt("spritefs_workload_programs_total"); got != programs || programs == 0 {
+			t.Errorf("shard %d: view sums %d programs, its engine ran %d", sh.ID, got, programs)
+		}
+	}
+	if got := e.Reg.SumInt("spritefs_cache_read_ops_total", all); got != reads || reads == 0 {
+		t.Errorf("registry read ops %d, client caches %d", got, reads)
+	}
+	if got, want := e.Report().CacheHit, 1-float64(misses)/float64(reads); got != want {
+		t.Errorf("report hit ratio %v, client caches %v", got, want)
+	}
 }

@@ -17,9 +17,8 @@ type ShardSummary struct {
 	Recalls   int64
 	CWSEvents int64
 	NetBytes  int64
-	// CacheHit is the segment's client read hit ratio, computed directly
-	// from the client caches (not the metric registry) so it is available
-	// in LeanMetrics runs too.
+	// CacheHit is the segment's client read hit ratio over every access
+	// (the scope="all" cache families).
 	CacheHit float64
 	// NetUtil is the segment wire's busy fraction over the horizon — the
 	// paper's "four percent of an Ethernet" check, per segment.
@@ -66,7 +65,8 @@ type Report struct {
 }
 
 // Report summarizes the finished run from the engine-wide registry and
-// the component state the registry does not carry in lean runs.
+// the component state the registry does not carry (wire, disk and
+// router busy time).
 func (e *Engine) Report() Report {
 	if e.horizon <= 0 {
 		panic("scale: Report before Run")
@@ -80,6 +80,7 @@ func (e *Engine) Report() Report {
 		Horizon: e.horizon,
 		Exec:    e.exec,
 	}
+	all := metrics.L("scope", "all")
 	var reads, misses int64
 	for i, sh := range e.Shards {
 		sel := metrics.L("shard", fmt.Sprintf("%d", i))
@@ -93,12 +94,8 @@ func (e *Engine) Report() Report {
 			NetBytes:  e.Reg.SumInt("spritefs_net_bytes_total", sel),
 			Remote:    sh.remote,
 		}
-		var sr, sm int64
-		for _, cl := range sh.C.Clients {
-			st := cl.Cache.Stats()
-			sr += st.All.ReadOps
-			sm += st.All.ReadMisses
-		}
+		sr := e.Reg.SumInt("spritefs_cache_read_ops_total", sel, all)
+		sm := e.Reg.SumInt("spritefs_cache_read_misses_total", sel, all)
 		if sr > 0 {
 			s.CacheHit = 1 - float64(sm)/float64(sr)
 		}

@@ -168,13 +168,6 @@ type Config struct {
 	// Remote is the cross-segment traffic mix (zero = DefaultRemote; set
 	// Remote.OpsPerClientHour < 0 to disable remote traffic entirely).
 	Remote RemoteConfig
-	// LeanMetrics skips the per-client metric families in every registry
-	// (per-segment and engine-wide); servers, networks, simulators and
-	// the scale families still register, and the report computes client
-	// cache ratios directly from the clients. A million-client topology
-	// would otherwise spend gigabytes on tens of millions of per-client
-	// metric instances that no one scrapes at that scale.
-	LeanMetrics bool
 	// Tune, when set, adjusts each shard's cluster configuration after
 	// the defaults are applied (ablations on a sharded world).
 	Tune func(shard int, cfg *cluster.Config)
