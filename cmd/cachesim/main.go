@@ -27,7 +27,6 @@ import (
 	"spritefs/internal/netsim"
 	"spritefs/internal/stats"
 	"spritefs/internal/vm"
-	"spritefs/internal/workload"
 )
 
 func main() {
@@ -59,16 +58,6 @@ func main() {
 	}
 }
 
-// baseParams mirrors core.RunCounterStudy's workload.
-func baseParams(seed int64) workload.Params {
-	p := workload.Default(seed)
-	p.EmitBackupNoise = false
-	p.BigSimUsers = 1
-	p.SimInputMB = 6
-	p.SimOutputMB = 2
-	return p
-}
-
 func runCluster(cfg cluster.Config, days float64) *cluster.Cluster {
 	cfg.CollectTrace = false
 	c := cluster.New(cfg)
@@ -81,7 +70,7 @@ func runCluster(cfg cluster.Config, days float64) *cluster.Cluster {
 // latency, since a 4 KB network fetch (6-7 ms) beats a 1991 local disk
 // access (20-30 ms).
 func localDisk(days float64, seed int64) {
-	cfg := cluster.DefaultConfig(baseParams(seed))
+	cfg := cluster.DefaultConfig(core.CounterCommunity(seed))
 	c := runCluster(cfg, days)
 
 	total := c.Net.Total()
@@ -119,7 +108,7 @@ func cacheSizeSweep(days float64, seed int64) {
 	t := stats.NewTable("What-if: fixed cache sizes (BSD-study prediction check)",
 		"Cache size", "File read miss %", "Read miss traffic %", "Server/raw bytes %")
 	for _, mb := range []int{1, 2, 4, 8, 16} {
-		cfg := cluster.DefaultConfig(baseParams(seed))
+		cfg := cluster.DefaultConfig(core.CounterCommunity(seed))
 		cfg.FixedCachePages = mb << 20 / vm.PageSize
 		c := runCluster(cfg, days)
 		t6 := c.Table6Report()
@@ -143,7 +132,7 @@ func delaySweep(days float64, seed int64) {
 	t := stats.NewTable("What-if: writeback delay sweep (Section 6 future work)",
 		"Delay", "Writeback traffic %", "Bytes saved by delete %")
 	for _, d := range []time.Duration{5 * time.Second, 30 * time.Second, 2 * time.Minute, 10 * time.Minute} {
-		cfg := cluster.DefaultConfig(baseParams(seed))
+		cfg := cluster.DefaultConfig(core.CounterCommunity(seed))
 		cfg.WritebackDelay = d
 		c := runCluster(cfg, days)
 		t6 := c.Table6Report()
@@ -173,7 +162,7 @@ func consistencyModes(days float64, seed int64) {
 		{"poll 3s", client.ConsistencyPoll, 3 * time.Second},
 	}
 	for _, m := range modes {
-		p := baseParams(seed)
+		p := core.CounterCommunity(seed)
 		p.AwaySessionProb = 0.3
 		p.SharedReadSoonP = 0.9
 		cfg := cluster.DefaultConfig(p)
@@ -197,7 +186,7 @@ func prefetchSweep(days float64, seed int64) {
 	t := stats.NewTable("What-if: sequential prefetch (Section 5.2 claim check)",
 		"Prefetch blocks", "File read miss %", "Read miss traffic %", "Server read MB")
 	for _, n := range []int{0, 2, 8} {
-		cfg := cluster.DefaultConfig(baseParams(seed))
+		cfg := cluster.DefaultConfig(core.CounterCommunity(seed))
 		cfg.PrefetchBlocks = n
 		c := runCluster(cfg, days)
 		t6 := c.Table6Report()

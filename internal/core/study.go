@@ -138,6 +138,24 @@ type CounterOptions struct {
 	Seed  int64
 }
 
+// CounterCommunity is the user community of the Section 5 counter study
+// (also sampled by the time-series study and the cachesim what-ifs): the
+// default community without nightly-backup noise, plus the big-file class
+// projects. The paper's two-week counter window spanned those projects;
+// their multi-megabyte inputs are what keep read miss ratios high even
+// with multi-megabyte caches (Section 5.2). A zero seed selects 424242.
+func CounterCommunity(seed int64) workload.Params {
+	if seed == 0 {
+		seed = 424242
+	}
+	p := workload.Default(seed)
+	p.EmitBackupNoise = false
+	p.BigSimUsers = 1
+	p.SimInputMB = 6
+	p.SimOutputMB = 2
+	return p
+}
+
 // RunCounterStudy reproduces the Section 5 measurement campaign: the
 // cluster runs with counters sampled periodically and no tracing, and the
 // tables are computed from the counters.
@@ -146,20 +164,7 @@ func RunCounterStudy(opts CounterOptions) *CounterResult {
 	if days <= 0 {
 		days = 1
 	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 424242
-	}
-	p := workload.Default(seed)
-	p.EmitBackupNoise = false
-	// The paper's two-week counter window spanned the big-file class
-	// projects too; the counter study therefore includes them (their
-	// multi-megabyte inputs are what keep read miss ratios high even
-	// with multi-megabyte caches — Section 5.2).
-	p.BigSimUsers = 1
-	p.SimInputMB = 6
-	p.SimOutputMB = 2
-	p = scaleParams(p, opts.Scale)
+	p := scaleParams(CounterCommunity(opts.Seed), opts.Scale)
 
 	cfg := cluster.DefaultConfig(p)
 	cfg.CollectTrace = false

@@ -9,7 +9,6 @@ import (
 	"spritefs/internal/cluster"
 	"spritefs/internal/metrics"
 	"spritefs/internal/stats"
-	"spritefs/internal/workload"
 )
 
 // TimeseriesOptions configures the registry time-series experiment.
@@ -71,18 +70,9 @@ func RunTimeseries(opts TimeseriesOptions) *TimeseriesResult {
 	if sample <= 0 {
 		sample = 10 * time.Second
 	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 424242
-	}
 	// Same community as the counter study (big-file users included), so
 	// the sampled series carries the traffic the Section 5 tables measure.
-	p := workload.Default(seed)
-	p.EmitBackupNoise = false
-	p.BigSimUsers = 1
-	p.SimInputMB = 6
-	p.SimOutputMB = 2
-	p = scaleParams(p, opts.Scale)
+	p := scaleParams(CounterCommunity(opts.Seed), opts.Scale)
 
 	dur := time.Duration(hours * float64(time.Hour))
 	cfg := cluster.DefaultConfig(p)
