@@ -10,7 +10,6 @@ package replay
 
 import (
 	"fmt"
-	"sync"
 
 	"spritefs/internal/stats"
 	"spritefs/internal/trace"
@@ -49,36 +48,13 @@ func RunSharded(recs []trace.Record, base Config, shards, workers int) ([]*Resul
 		cfgs[i].Name = fmt.Sprintf("%s/shard%d", name, i)
 	}
 
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > shards {
-		workers = shards
-	}
-	results := make([]*Result, shards)
-	errs := make([]error, shards)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				results[i], errs[i] = Run(cfgs[i], trace.NewSliceStream(parts[i]))
-			}
-		}()
-	}
-	for i := range cfgs {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	for i, err := range errs {
+	return runAll(shards, workers, func(i int) (*Result, error) {
+		r, err := Run(cfgs[i], trace.NewSliceStream(parts[i]))
 		if err != nil {
 			return nil, fmt.Errorf("replay shard %d: %w", i, err)
 		}
-	}
-	return results, nil
+		return r, nil
+	})
 }
 
 // ShardedTable summarizes a sharded replay one row per shard plus a

@@ -34,36 +34,43 @@ func RunSweep(recs []trace.Record, cfgs []Config, workers int) ([]*Result, error
 // completed configurations' metrics if the sweep is interrupted mid-run;
 // the hook must be safe for concurrent calls.
 func RunSweepWith(recs []trace.Record, cfgs []Config, workers int, onResult func(int, *Result)) ([]*Result, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(cfgs) {
-		workers = len(cfgs)
-	}
-	results := make([]*Result, len(cfgs))
-	errs := make([]error, len(cfgs))
+	return runAll(len(cfgs), workers, func(i int) (*Result, error) {
+		r, err := Run(cfgs[i], trace.NewSliceStream(recs))
+		if err != nil {
+			return nil, fmt.Errorf("replay %q: %w", cfgs[i].Name, err)
+		}
+		if onResult != nil {
+			onResult(i, r)
+		}
+		return r, nil
+	})
+}
+
+// runAll runs job(i) for every i in [0, n) over at most workers goroutines
+// (min 1). Results are indexed by job, independent of completion order;
+// the error returned is the lowest-indexed job's.
+func runAll(n, workers int, job func(i int) (*Result, error)) ([]*Result, error) {
+	results := make([]*Result, n)
+	errs := make([]error, n)
 	jobs := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range min(max(workers, 1), n) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				results[i], errs[i] = Run(cfgs[i], trace.NewSliceStream(recs))
-				if onResult != nil && errs[i] == nil {
-					onResult(i, results[i])
-				}
+				results[i], errs[i] = job(i)
 			}
 		}()
 	}
-	for i := range cfgs {
+	for i := range n {
 		jobs <- i
 	}
 	close(jobs)
 	wg.Wait()
-	for i, err := range errs {
+	for _, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("replay %q: %w", cfgs[i].Name, err)
+			return nil, err
 		}
 	}
 	return results, nil
