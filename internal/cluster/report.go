@@ -13,14 +13,14 @@ import (
 
 // This file computes the Section 5 tables from kernel counters, mirroring
 // the paper's post-processing of the two-week counter files. The
-// computation lives on Metrics — a counter-bearing view over a set of
-// clients, servers and a network — so that anything that drives the same
-// component stack (the live Cluster, the trace-replay engine in
-// internal/replay) produces reports of identical shape.
+// computation lives on Metrics — a counter-bearing view over a cluster's
+// clients, servers and network — so a community run and a trace replay
+// (internal/replay drives a Cluster too) produce reports of identical
+// shape.
 
-// Metrics is the counter-bearing view of an experiment: whatever assembled
-// the clients/servers/network (live cluster or trace replay), the Section 5
-// tables are computed the same way from the same counters.
+// Metrics is the counter-bearing view of an experiment: whether a user
+// community or a replayed trace drove the cluster, the Section 5 tables
+// are computed the same way from the same counters.
 type Metrics struct {
 	Clients []*client.Client
 	Servers []*server.Server
